@@ -11,7 +11,8 @@
 #      findings/ for CI to archive,
 #   4. run trac_top against its golden dashboard (deterministic clock)
 #      and a bench --json smoke run that leaves BENCH_*.json records
-#      in bench-json/ for CI to archive,
+#      in bench-json/ for CI to archive (plus one Figure 1 record at
+#      the paper's 20,000-source registry size),
 #   5. run the whole ctest suite (which re-runs the linters and their
 #      self-tests as test cases),
 #   6. with --tidy, run clang-tidy (.clang-tidy profile) over src/ —
@@ -179,6 +180,23 @@ for f in bench-json/BENCH_parallel_relevance.json \
   [[ -s "$f" ]] || { echo "missing bench record $f" >&2; exit 1; }
 done
 
+echo "==> Figure 1 at the paper's registry size (20,000 sources, Q1/Q3)"
+# A per-report O(registry) cost does not show at 20 sources, so one
+# record runs at the paper's Figure 1 point: 200,000 Activity rows at
+# data ratio 10. Plain, Focused and hardcoded Q1/Q3 only (the selective
+# queries, where a registry-sized cost would dominate a report). Adds
+# about 3 s on a 4-core VM, data-set build included.
+(
+  cd bench-json
+  TRAC_BENCH_ROWS=200000 ../build/bench/bench_figure1 --json \
+    --benchmark_filter='^fig1/Q[13]/(plain|focused|hardcoded)/ratio:10/' \
+    >/dev/null
+)
+[[ -s bench-json/BENCH_figure1.json ]] || {
+  echo "missing bench record bench-json/BENCH_figure1.json" >&2
+  exit 1
+}
+
 echo "==> ctest (default preset)"
 ctest --preset default -j"$(nproc)" --output-on-failure
 
@@ -194,6 +212,7 @@ cmake --build --preset tsan -j"$(nproc)" \
   --target scenario_scenario_property_test scenario_scenario_test \
   --target telemetry_fault_telemetry_test monitor_failure_test \
   --target concurrency_relevance_cache_stress_test \
+  --target concurrency_registry_age_stress_test \
   --target property_profile_property_test
 mkdir -p scenario-repro
 TRAC_SCENARIO_SCRIPTS=12 \
@@ -201,7 +220,7 @@ TRAC_SCENARIO_MIN_SOURCES=1000 \
 TRAC_SCENARIO_SOURCES=1000 \
 TRAC_SCENARIO_REPRO_DIR="$PWD/scenario-repro" \
 ctest --preset tsan -R \
-  'scenario_scenario_property_test|scenario_scenario_test|telemetry_fault_telemetry_test|monitor_failure_test|concurrency_relevance_cache_stress_test|property_profile_property_test' \
+  'scenario_scenario_property_test|scenario_scenario_test|telemetry_fault_telemetry_test|monitor_failure_test|concurrency_relevance_cache_stress_test|concurrency_registry_age_stress_test|property_profile_property_test' \
   --output-on-failure
 
 echo "==> absint unit + property suites under UBSan"

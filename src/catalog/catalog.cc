@@ -1,5 +1,7 @@
 #include "catalog/catalog.h"
 
+#include <algorithm>
+
 #include "common/str_util.h"
 
 namespace trac {
@@ -14,6 +16,8 @@ Result<TableId> Catalog::CreateTable(TableSchema schema) {
                                  "' already exists");
   }
   entries_.push_back(Entry{std::move(schema), /*live=*/true});
+  live_ids_.emplace(ToLowerAscii(entries_.back().schema.name()),
+                    entries_.size() - 1);
   // Session temp tables (sys_temp_*) are session-local state, not
   // durable structure: TRAC-V013 rejects any cache-admissible plan that
   // touches one, so their creation cannot change a cached result and
@@ -23,12 +27,8 @@ Result<TableId> Catalog::CreateTable(TableSchema schema) {
 }
 
 Result<TableId> Catalog::GetTableIdLocked(std::string_view name) const {
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].live &&
-        EqualsIgnoreCaseAscii(entries_[i].schema.name(), name)) {
-      return i;
-    }
-  }
+  auto it = live_ids_.find(ToLowerAscii(name));
+  if (it != live_ids_.end()) return it->second;
   return Status::NotFound("no table named '" + std::string(name) + "'");
 }
 
@@ -41,16 +41,20 @@ Status Catalog::DropTable(std::string_view name) {
   WriterMutexLock lock(&mu_);
   TRAC_ASSIGN_OR_RETURN(TableId id, GetTableIdLocked(name));
   entries_[id].live = false;
+  live_ids_.erase(ToLowerAscii(name));
   if (entries_[id].schema.name().rfind("sys_temp_", 0) != 0) BumpEpoch();
   return Status::OK();
 }
 
 std::vector<std::string> Catalog::TableNames() const {
   ReaderMutexLock lock(&mu_);
+  std::vector<TableId> ids;
+  ids.reserve(live_ids_.size());
+  for (const auto& [name, id] : live_ids_) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());  // Ids are allocated in creation order.
   std::vector<std::string> names;
-  for (const Entry& e : entries_) {
-    if (e.live) names.push_back(e.schema.name());
-  }
+  names.reserve(ids.size());
+  for (TableId id : ids) names.push_back(entries_[id].schema.name());
   return names;
 }
 

@@ -7,6 +7,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -24,6 +25,12 @@ using TableId = size_t;
 /// Name -> schema mapping. The Catalog owns schemas only; row storage
 /// lives in storage::Table objects held by the Database, keyed by the
 /// same TableId. Lookups are case-insensitive, matching the SQL layer.
+///
+/// Name lookups go through a lowercase name -> id map of the live tables
+/// only, so GetTableId, TableNames and ForEachLiveTable cost O(live
+/// tables) at most — never O(ids ever allocated). A report session
+/// creates and later drops two sys_temp_* tables per run, so the dropped
+/// entries outnumber the live ones on any long-running database.
 ///
 /// Concurrency: lookups (GetTableId, IsLive, schema, TableNames) may run
 /// concurrently with each other and with CreateTable/DropTable — a
@@ -95,6 +102,15 @@ class Catalog {
   /// Names of all live tables, in creation order.
   std::vector<std::string> TableNames() const;
 
+  /// Calls fn(schema) for every live table, in unspecified order, under
+  /// one shared hold of the catalog lock: `fn` must not call back into
+  /// the Catalog.
+  template <typename Fn>
+  void ForEachLiveTable(Fn fn) const {
+    ReaderMutexLock lock(&mu_);
+    for (const auto& [name, id] : live_ids_) fn(entries_[id].schema);
+  }
+
   /// Caches collected optimizer statistics for a table (advisory; see
   /// catalog/stats.h). Overwrites any previous entry. Const: the stats
   /// cache is metadata about storage contents, not catalog identity, so
@@ -131,6 +147,8 @@ class Catalog {
   // Deque: schema references stay valid across CreateTable (Table objects
   // point at their catalog schema).
   std::deque<Entry> entries_ TRAC_GUARDED_BY(mu_);
+  /// Lowercased name -> id of every live entry (dropped ids leave it).
+  std::unordered_map<std::string, TableId> live_ids_ TRAC_GUARDED_BY(mu_);
   /// Optimizer statistics cache, keyed by table id (catalog/stats.h).
   /// Mutable: populated from read-only planning paths.
   mutable std::map<TableId, TableStats> stats_ TRAC_GUARDED_BY(mu_);

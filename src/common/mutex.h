@@ -40,6 +40,10 @@ constexpr int kTableRegistry = 30;
 constexpr int kTableIndexes = 40;
 /// OrderedIndex::mu_ — innermost storage lock (scans capture under it).
 constexpr int kOrderedIndex = 50;
+/// Table::range_memo_mu_ — the epoch-keyed timestamp-range memo. A leaf:
+/// the scan that fills it runs with the lock released, and only the
+/// copy in or out happens under it.
+constexpr int kTableRangeMemo = 60;
 /// RelevanceCache::mu_ — the relevance-result cache's map lock. A leaf
 /// by design: Lookup/Insert capture every epoch they need *before*
 /// taking it, so no storage or catalog lock is ever acquired inside.

@@ -23,8 +23,8 @@ struct StaticBounds {
   bool sources_unbounded = false;
 };
 
-void ReadStaticBounds(const PlanIr& ir, StaticBounds* bounds) {
-  const absint::AbsintResult res = absint::AnalyzeIr(ir);
+void ReadStaticBounds(const PlanIr& ir, const absint::AbsintResult& res,
+                      StaticBounds* bounds) {
   if (!res.converged) return;
   const IrNode* merge = nullptr;
   const IrNode* report = nullptr;
@@ -45,15 +45,28 @@ void ReadStaticBounds(const PlanIr& ir, StaticBounds* bounds) {
   }
 }
 
-/// Lowers everything this report session is about to execute — the user
-/// plan, every recency part (with its guard queries and the shard
-/// fan-out the executor will actually use), the merge, and the temp
-/// writes — into one IR and gates it on the verifier. Per-plan
+/// What the verify gate hands on to execution: every plan it verified
+/// (executed as-is, so each query is planned exactly once per report),
+/// the session IR it lowered with its subgraph extents and its one
+/// abstract-interpretation fixpoint (the profiler annotates that very
+/// graph and reuses the facts), and the static bounds read off them.
+struct VerifiedSession {
+  QueryPlan user_plan;
+  std::vector<PlannedPart> parts;  ///< One per recency part.
+  PlanIr ir;
+  SessionLayout layout;
+  absint::AbsintResult facts;
+  StaticBounds bounds;
+};
+
+/// Plans and lowers everything this report session is about to execute
+/// — the user plan, every recency part (with its guard queries and the
+/// shard fan-out the executor will actually use), the merge, and the
+/// temp writes — into one IR and gates it on the verifier. Per-plan
 /// verification inside PlanQuery cannot see cross-plan properties (the
 /// single-snapshot rule, session confinement, the rejoin discipline);
-/// this session-level pass can. `session_ir`/`layout`, when non-null,
-/// receive the lowered IR and its subgraph extents so the profiler can
-/// attach runtime counters onto exactly this graph after execution.
+/// this session-level pass can. On success `out` holds the verified
+/// plans and IR.
 [[nodiscard]] Status VerifyFinishSession(const Database& db,
                                          const Session* session,
                                          const BoundQuery& user_query,
@@ -61,21 +74,18 @@ void ReadStaticBounds(const PlanIr& ir, StaticBounds* bounds) {
                                          Snapshot snapshot,
                                          const RecencyReportOptions& options,
                                          const PlanningHints& hints,
-                                         StaticBounds* bounds,
                                          RelevanceCache::Probe* probe,
-                                         PlanIr* session_ir,
-                                         SessionLayout* layout) {
-  TRAC_ASSIGN_OR_RETURN(QueryPlan user_plan,
+                                         VerifiedSession* out) {
+  TRAC_ASSIGN_OR_RETURN(out->user_plan,
                         PlanQuery(db, user_query, snapshot, hints));
   // Plan storage is sized up front so the pointers taken below stay
   // stable (no reallocation once an address is handed to `input`).
-  std::vector<QueryPlan> part_plans(plan.parts.size());
-  std::vector<std::vector<QueryPlan>> guard_plans(plan.parts.size());
+  out->parts.assign(plan.parts.size(), PlannedPart());
   const size_t parallelism = std::max<size_t>(1, options.relevance.parallelism);
 
   ReportSessionInput input;
   input.user_query = &user_query;
-  input.user_plan = &user_plan;
+  input.user_plan = &out->user_plan;
   input.snapshot = snapshot;
   for (size_t i = 0; i < plan.parts.size(); ++i) {
     const RecencyQueryPlan::Part& part = plan.parts[i];
@@ -85,15 +95,15 @@ void ReadStaticBounds(const PlanIr& ir, StaticBounds* bounds) {
     if (in.shards == 1) {
       // Sharded parts bypass the planner (direct version-range scans),
       // so only unsharded parts carry plans.
-      TRAC_ASSIGN_OR_RETURN(part_plans[i],
-                            PlanQuery(db, part.query, snapshot));
-      in.plan = &part_plans[i];
-      guard_plans[i].resize(part.guards.size());
+      PlannedPart& planned = out->parts[i];
+      TRAC_ASSIGN_OR_RETURN(planned.main, PlanQuery(db, part.query, snapshot));
+      in.plan = &*planned.main;
+      planned.guards.resize(part.guards.size());
       for (size_t g = 0; g < part.guards.size(); ++g) {
-        TRAC_ASSIGN_OR_RETURN(guard_plans[i][g],
+        TRAC_ASSIGN_OR_RETURN(planned.guards[g],
                               PlanQuery(db, part.guards[g], snapshot));
         in.guard_queries.push_back(&part.guards[g]);
-        in.guard_plans.push_back(&guard_plans[i][g]);
+        in.guard_plans.push_back(&planned.guards[g]);
       }
     }
     input.parts.push_back(std::move(in));
@@ -106,12 +116,13 @@ void ReadStaticBounds(const PlanIr& ir, StaticBounds* bounds) {
   }
   LowerOptions lower;
   lower.heartbeat_table = options.relevance.heartbeat_table;
-  const PlanIr ir = LowerReportSession(db, input, lower, layout);
-  const Status verified = VerifyIrStatus(ir);
+  out->ir = LowerReportSession(db, input, lower, &out->layout);
+  out->facts = absint::AnalyzeIr(out->ir);
+  const Status verified = VerifyIrStatus(out->ir, &out->facts);
   TRAC_DCHECK(verified.ok(), verified.message().c_str());
-  if (verified.ok() && bounds != nullptr) ReadStaticBounds(ir, bounds);
-  if (verified.ok() && session_ir != nullptr) *session_ir = ir;
-  if (verified.ok() && probe != nullptr) {
+  if (!verified.ok()) return verified;
+  ReadStaticBounds(out->ir, out->facts, &out->bounds);
+  if (probe != nullptr) {
     // Cache gate: the cacheable unit is the relevance computation alone
     // (parts + merge, no user query / temp writes), lowered separately
     // so the fingerprint describes exactly what the cache would replay.
@@ -239,21 +250,20 @@ Result<RecencyReport> RecencyReporter::Finish(
   // Gate the whole session on the static verifier before anything runs:
   // hard error with invariants armed, Status in release.
   TraceSpan verify_span(tel.tracer, tel.clock, "verify", trace_id, root.id());
-  StaticBounds static_bounds;
   RelevanceCache::Probe cache_probe;
-  // The profiler reuses the verify gate's session lowering: the IR the
-  // runtime counters attach onto is byte-for-byte the graph the verifier
-  // passed, so a drift finding can never be blamed on a second lowering.
-  PlanIr session_ir;
-  SessionLayout session_layout;
+  // Execution runs the verify gate's plans, and the profiler reuses its
+  // session lowering: the IR the runtime counters attach onto is
+  // byte-for-byte the graph the verifier passed, describing the plans
+  // that actually ran, so a drift finding can never be blamed on a
+  // second planning or lowering.
+  VerifiedSession verified_session;
   SessionProfile session_profile;
   const bool profiling = options.profile;
   const Status verified = VerifyFinishSession(
       *db_, session_, user_query, plan, snapshot, options, hints,
-      &static_bounds, options.cache != nullptr ? &cache_probe : nullptr,
-      profiling ? &session_ir : nullptr,
-      profiling ? &session_layout : nullptr);
+      options.cache != nullptr ? &cache_probe : nullptr, &verified_session);
   verify_span.End();
+  const StaticBounds& static_bounds = verified_session.bounds;
   report.static_bounds_computed = static_bounds.computed;
   report.static_staleness_width_micros = static_bounds.staleness_width_micros;
   report.static_sources_lo = static_bounds.sources_lo;
@@ -271,8 +281,9 @@ Result<RecencyReport> RecencyReporter::Finish(
   int64_t t = tel.clock();
   TRAC_ASSIGN_OR_RETURN(
       report.result,
-      ExecuteQuery(*db_, user_query, snapshot, hints,
-                   profiling ? &session_profile.user : nullptr, tel.clock));
+      ExecutePlan(*db_, user_query, snapshot, verified_session.user_plan,
+                  /*row_limit=*/0,
+                  profiling ? &session_profile.user : nullptr, tel.clock));
   session_profile.ran_user = profiling;
   report.user_query_micros = tel.clock() - t;
   user_span.End();
@@ -306,7 +317,8 @@ Result<RecencyReport> RecencyReporter::Finish(
     t = tel.clock();
     TRAC_ASSIGN_OR_RETURN(
         RecencyExecution exec,
-        ExecuteRecencyQueriesDetailed(*db_, plan, snapshot, relevance_options));
+        ExecuteRecencyQueriesDetailed(*db_, plan, snapshot, relevance_options,
+                                      &verified_session.parts));
     report.relevance_exec_micros = tel.clock() - t;
     sources = std::move(exec.sources);
     report.relevance_parallelism = exec.parallelism;
@@ -405,10 +417,11 @@ Result<RecencyReport> RecencyReporter::Finish(
     // Write the runtime counters back onto the verified session IR, run
     // the estimate-drift pass over the annotated graph, and preserve the
     // whole profiled session in the flight recorder.
-    report.profiled_nodes =
-        AttachSessionProfile(&session_ir, session_layout, session_profile);
-    report.profiled_ir = session_ir.Dump();
-    report.profile_drift = AnalyzeProfileDrift(session_ir);
+    report.profiled_nodes = AttachSessionProfile(
+        &verified_session.ir, verified_session.layout, session_profile);
+    report.profiled_ir = verified_session.ir.Dump();
+    report.profile_drift = AnalyzeProfileDrift(
+        verified_session.ir, ProfileDriftOptions(), &verified_session.facts);
     SessionProfileRecord record;
     record.trace_id = trace_id;
     record.snapshot = snapshot.version;

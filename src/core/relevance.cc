@@ -319,28 +319,39 @@ struct RecencyTaskResult {
 };
 
 /// Runs one plan part the same way the serial path always has: guards
-/// first (any empty guard kills the part), then the main query.
+/// first (any empty guard kills the part), then the main query — on the
+/// caller's `planned` plans when given, else planned ad hoc.
 /// `profile`, when non-null, collects one ExecProfile per executed
 /// guard plus the main query's; `clock` enables its stage timings.
 void RunPartTask(const Database& db, const RecencyQueryPlan::Part& part,
-                 Snapshot snapshot, TaskProfile* profile, ClockFn clock,
-                 RecencyTaskResult* out) {
-  for (const BoundQuery& guard : part.guards) {
+                 const PlannedPart* planned, Snapshot snapshot,
+                 TaskProfile* profile, ClockFn clock, RecencyTaskResult* out) {
+  for (size_t g = 0; g < part.guards.size(); ++g) {
+    const BoundQuery& guard = part.guards[g];
     ExecProfile* gprof = nullptr;
     if (profile != nullptr) {
       profile->guards.emplace_back();
       gprof = &profile->guards.back();
     }
-    Result<bool> nonempty = QueryHasResults(db, guard, snapshot, gprof, clock);
-    if (!nonempty.ok()) {
-      out->status = nonempty.status();
+    Result<ResultSet> rs =
+        planned != nullptr
+            ? ExecutePlan(db, guard, snapshot, planned->guards[g],
+                          /*row_limit=*/1, gprof, clock)
+            : ExecuteQueryWithLimit(db, guard, snapshot, /*row_limit=*/1,
+                                    PlanningHints(), gprof, clock);
+    if (!rs.ok()) {
+      out->status = rs.status();
       return;
     }
-    if (!*nonempty) return;
+    if (!HasResults(guard, *rs)) return;
   }
+  ExecProfile* mprof = profile != nullptr ? &profile->main : nullptr;
   Result<ResultSet> rs =
-      ExecuteQuery(db, part.query, snapshot, PlanningHints(),
-                   profile != nullptr ? &profile->main : nullptr, clock);
+      planned != nullptr
+          ? ExecutePlan(db, part.query, snapshot, *planned->main,
+                        /*row_limit=*/0, mprof, clock)
+          : ExecuteQuery(db, part.query, snapshot, PlanningHints(), mprof,
+                         clock);
   if (profile != nullptr) profile->ran_main = rs.ok();
   if (!rs.ok()) {
     out->status = rs.status();
@@ -401,8 +412,11 @@ size_t PlannedHeartbeatShards(const Database& db,
 
 [[nodiscard]] Result<RecencyExecution> ExecuteRecencyQueriesDetailed(
     const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
-    const RelevanceOptions& options) {
+    const RelevanceOptions& options, const std::vector<PlannedPart>* planned) {
   const size_t parallelism = std::max<size_t>(1, options.parallelism);
+  if (planned != nullptr && planned->size() != plan.parts.size()) {
+    return Status::InvalidArgument("one planned entry per recency part");
+  }
 
   // Build the task list. Ranges shard in ascending version order and
   // tasks merge in list order below, so the merged row stream is a
@@ -410,6 +424,7 @@ size_t PlannedHeartbeatShards(const Database& db,
   // parallelism.
   struct TaskSpec {
     const RecencyQueryPlan::Part* part;
+    const PlannedPart* planned = nullptr;  ///< Null: plan ad hoc.
     bool shard = false;
     size_t begin_idx = 0, end_idx = 0;
     size_t part_idx = 0;   ///< Index into plan.parts.
@@ -432,12 +447,20 @@ size_t PlannedHeartbeatShards(const Database& db,
       const size_t chunk = (n + shards - 1) / shards;
       size_t shard_idx = 0;
       for (size_t lo = 0; lo < n || lo == 0; lo += chunk) {
-        specs.push_back(TaskSpec{&part, /*shard=*/true, lo,
+        specs.push_back(TaskSpec{&part, nullptr, /*shard=*/true, lo,
                                  std::min(n, lo + chunk), pi, shard_idx++});
         if (chunk == 0) break;
       }
     } else {
-      specs.push_back(TaskSpec{&part, /*shard=*/false, 0, 0, pi, 0});
+      const PlannedPart* part_plans = nullptr;
+      if (planned != nullptr && (*planned)[pi].main.has_value()) {
+        part_plans = &(*planned)[pi];
+        if (part_plans->guards.size() != part.guards.size()) {
+          return Status::InvalidArgument("one planned guard per part guard");
+        }
+      }
+      specs.push_back(TaskSpec{&part, part_plans, /*shard=*/false, 0, 0, pi,
+                               0});
     }
   }
 
@@ -473,7 +496,7 @@ size_t PlannedHeartbeatShards(const Database& db,
         RunHeartbeatShardTask(db, *spec.part, snapshot, spec.begin_idx,
                               spec.end_idx, out);
       } else {
-        RunPartTask(db, *spec.part, snapshot,
+        RunPartTask(db, *spec.part, spec.planned, snapshot,
                     profiling ? &out->profile : nullptr, clock, out);
       }
       const int64_t t1 = clock();

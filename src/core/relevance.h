@@ -12,6 +12,7 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "core/heartbeat.h"
+#include "exec/planner.h"
 #include "expr/bound_expr.h"
 #include "predicate/normalize.h"
 #include "predicate/satisfiability.h"
@@ -165,9 +166,25 @@ struct RecencyExecution {
   /// options.profile (the unprofiled path takes no extra clock reads).
   int64_t merge_micros = 0;
 };
+
+/// The plans one recency part runs, made with PlanQuery at the execution
+/// snapshot by the caller (the report session's verify gate): `main` for
+/// the part's query, `guards` parallel to the part's guards. A part that
+/// executes as heartbeat shards (IsPureHeartbeatScan) runs off the
+/// version log and needs no plan.
+struct PlannedPart {
+  std::optional<QueryPlan> main;
+  std::vector<QueryPlan> guards;
+};
+
+/// `planned`, when non-null, holds one entry per plan part, and every
+/// unsharded part with a `main` plan executes exactly those plans
+/// (ExecutePlan) instead of planning again; parts without one plan ad
+/// hoc (ExecuteQuery).
 [[nodiscard]] Result<RecencyExecution> ExecuteRecencyQueriesDetailed(
     const Database& db, const RecencyQueryPlan& plan, Snapshot snapshot,
-    const RelevanceOptions& options = RelevanceOptions());
+    const RelevanceOptions& options = RelevanceOptions(),
+    const std::vector<PlannedPart>* planned = nullptr);
 
 /// A part that is nothing but `SELECT DISTINCT source, recency FROM
 /// heartbeat` — the Naive plan, and the Focused part of a conjunct with

@@ -607,11 +607,21 @@ class Execution {
                                         Snapshot snapshot, size_t row_limit,
                                         const PlanningHints& hints,
                                         ExecProfile* profile, ClockFn clock) {
+  TRAC_ASSIGN_OR_RETURN(QueryPlan plan, PlanQuery(db, query, snapshot, hints));
+  return ExecutePlan(db, query, snapshot, plan, row_limit, profile, clock);
+}
+
+[[nodiscard]] Result<ResultSet> ExecutePlan(const Database& db,
+                                            const BoundQuery& query,
+                                            Snapshot snapshot,
+                                            const QueryPlan& plan,
+                                            size_t row_limit,
+                                            ExecProfile* profile,
+                                            ClockFn clock) {
   static Counter* queries_executed = MetricRegistry::Default().GetCounter(
       "trac_queries_executed_total",
       "Bound queries executed (user, recency, and guard queries)");
   queries_executed->Increment();
-  TRAC_ASSIGN_OR_RETURN(QueryPlan plan, PlanQuery(db, query, snapshot, hints));
 #if defined(TRAC_DEBUG_INVARIANTS)
   // PlanQuery already gated the plan; with invariants armed, re-verify
   // at the execution boundary so a plan mutated (or hand-built) between
@@ -623,6 +633,11 @@ class Execution {
   return exec.Run();
 }
 
+bool HasResults(const BoundQuery& query, const ResultSet& rs) {
+  if (query.count_star) return rs.count() > 0;
+  return rs.num_rows() > 0;
+}
+
 [[nodiscard]] Result<bool> QueryHasResults(const Database& db, const BoundQuery& query,
                              Snapshot snapshot, ExecProfile* profile,
                              ClockFn clock) {
@@ -630,8 +645,7 @@ class Execution {
                         ExecuteQueryWithLimit(db, query, snapshot, 1,
                                               PlanningHints(), profile,
                                               clock));
-  if (query.count_star) return rs.count() > 0;
-  return rs.num_rows() > 0;
+  return HasResults(query, rs);
 }
 
 [[nodiscard]] Result<ResultSet> ExecuteSql(const Database& db, std::string_view sql) {

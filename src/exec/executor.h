@@ -34,11 +34,34 @@ struct ResultSet {
   std::string ToString() const;
 };
 
-/// Executes a bound query against `snapshot`. The paper's reporter runs
-/// the user query and the generated recency query through this with the
-/// *same* snapshot, which yields the consistency guarantee of
-/// Section 3.2. `hints` forwards static-analysis results to the planner
-/// (a proven-unsatisfiable predicate short-circuits to an empty result).
+/// Executes `plan` — built by PlanQuery for `query` at `snapshot` — with
+/// no further planning: the one execution entry point. A report session
+/// plans and verifies every query once and then runs exactly those plans
+/// through here, so what executes is what the verifier passed and what
+/// the profiler annotates. `row_limit` > 0 stops as soon as that many
+/// output rows (or counted tuples, for COUNT(*)) exist. Under
+/// TRAC_DEBUG_INVARIANTS the plan is re-verified first, so a plan
+/// mutated (or hand-built) after planning cannot slip through.
+/// `profile`/`clock` as for ExecuteQuery below.
+[[nodiscard]] Result<ResultSet> ExecutePlan(const Database& db,
+                                            const BoundQuery& query,
+                                            Snapshot snapshot,
+                                            const QueryPlan& plan,
+                                            size_t row_limit = 0,
+                                            ExecProfile* profile = nullptr,
+                                            ClockFn clock = nullptr);
+
+/// True iff a result produced for `query` holds at least one tuple (for
+/// COUNT(*), a nonzero count).
+bool HasResults(const BoundQuery& query, const ResultSet& rs);
+
+/// Plans `query` at `snapshot` (PlanQuery) and executes that plan
+/// (ExecutePlan): the ad-hoc path for SQL outside a report session.
+/// Every read is pinned to `snapshot`; running the user query and the
+/// recency queries at the *same* snapshot is what yields the consistency
+/// guarantee of Section 3.2. `hints` forwards static-analysis results to
+/// the planner (a proven-unsatisfiable predicate short-circuits to an
+/// empty result).
 ///
 /// `profile`, when non-null, receives per-operator row counters for the
 /// execution (telemetry/profile.h); `clock` additionally enables stage
@@ -52,8 +75,7 @@ struct ResultSet {
                                ClockFn clock = nullptr);
 
 /// As above, but stops as soon as `row_limit` output rows (or counted
-/// tuples, for COUNT(*)) have been produced. Powers EXISTS-style guard
-/// evaluation in the recency analyzer.
+/// tuples, for COUNT(*)) have been produced.
 [[nodiscard]] Result<ResultSet> ExecuteQueryWithLimit(const Database& db,
                                         const BoundQuery& query,
                                         Snapshot snapshot, size_t row_limit,

@@ -4,6 +4,7 @@
 
 #include "common/str_util.h"
 #include "ir/fingerprint.h"
+#include "telemetry/metrics.h"
 
 namespace trac {
 
@@ -52,53 +53,39 @@ ColumnProvenance ProvenanceOf(const Database& db, TableId table_id, size_t col,
 }
 
 /// The Heartbeat registry's visible recency range at one snapshot: the
-/// catalog-declared source ages every monitored read inherits. Computed
-/// once per lowering (a single registry scan) and stamped onto scans as
-/// the `age=` annotation seeding the staleness interval domain.
-struct AgeRange {
-  bool known = false;
-  int64_t lo = 0;
-  int64_t hi = 0;
-};
+/// catalog-declared source ages every monitored read inherits, stamped
+/// onto scans as the `age=` annotation seeding the staleness interval
+/// domain and onto the report node as the NOTICE `bound=`. Read through
+/// the registry table's epoch-keyed memo (Table::VisibleTimestampBounds),
+/// so only the first lowering after a registry commit scans the registry;
+/// the rows read are counted in trac_lower_registry_rows_read_total.
+using AgeRange = TimestampBounds;
 
 AgeRange HeartbeatAgeRange(const Database& db, Snapshot snapshot,
                            const LowerOptions& options) {
-  AgeRange r;
-  if (options.heartbeat_table.empty()) return r;
+  if (options.heartbeat_table.empty()) return AgeRange();
   Result<TableId> id = db.catalog().GetTableId(options.heartbeat_table);
-  if (!id.ok()) return r;
-  const TableSchema& schema = db.catalog().schema(*id);
-  size_t recency_col = schema.num_columns();
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    if (EqualsIgnoreCaseAscii(schema.column(c).name, "recency_timestamp")) {
-      recency_col = c;
-      break;
-    }
-  }
-  if (recency_col == schema.num_columns()) return r;
+  if (!id.ok()) return AgeRange();
   const Table* table = db.GetTable(*id);
-  if (table == nullptr) return r;
-  table->Scan(snapshot, [&](size_t, const Row& row) {
-    const Value& v = row[recency_col];
-    if (v.is_null() || v.type() != TypeId::kTimestamp) return;
-    const int64_t us = v.ts_val().micros();
-    if (!r.known) {
-      r.known = true;
-      r.lo = r.hi = us;
-      return;
-    }
-    r.lo = std::min(r.lo, us);
-    r.hi = std::max(r.hi, us);
-  });
-  return r;
+  if (table == nullptr) return AgeRange();
+  const std::optional<size_t> recency_col =
+      table->schema().FindColumn("recency_timestamp");
+  if (!recency_col.has_value()) return AgeRange();
+  static Counter* rows_read_total = MetricRegistry::Default().GetCounter(
+      "trac_lower_registry_rows_read_total",
+      "Heartbeat registry rows read to stamp age=/bound= on lowered IR "
+      "(0 per lowering while the registry epoch is unchanged)");
+  size_t rows_read = 0;
+  const AgeRange range =
+      table->VisibleTimestampBounds(snapshot, *recency_col, &rows_read);
+  rows_read_total->Add(static_cast<int64_t>(rows_read));
+  return range;
 }
 
-/// True when a scan of `table_id` inherits the registry's age range:
-/// the registry itself, or any relation with a declared data-source
-/// column (its tuples are attributed to registered sources).
-bool ScanCarriesAge(const Database& db, TableId table_id,
-                    const LowerOptions& options) {
-  const TableSchema& schema = db.catalog().schema(table_id);
+/// True when a scan of a relation with `schema` inherits the registry's
+/// age range: the registry itself, or any relation with a declared
+/// data-source column (its tuples are attributed to registered sources).
+bool ScanCarriesAge(const TableSchema& schema, const LowerOptions& options) {
   if (!options.heartbeat_table.empty() &&
       EqualsIgnoreCaseAscii(schema.name(), options.heartbeat_table)) {
     return true;
@@ -115,7 +102,8 @@ void AnnotateScan(IrNode* scan, const Database& db, TableId table_id,
     scan->has_rows = true;
     scan->rows = table->num_versions();
   }
-  if (age.known && ScanCarriesAge(db, table_id, options)) {
+  if (age.known &&
+      ScanCarriesAge(db.catalog().schema(table_id), options)) {
     scan->has_age = true;
     scan->age_lo = age.lo;
     scan->age_hi = age.hi;
@@ -160,13 +148,9 @@ void AnnotateFilter(IrNode* filter, const Database& db,
 std::vector<std::string> DeclaredSourceUniverse(const Database& db,
                                                 const LowerOptions& options) {
   std::vector<std::string> out;
-  for (const std::string& name : db.catalog().TableNames()) {
-    Result<TableId> id = db.catalog().GetTableId(name);
-    if (!id.ok()) continue;
-    if (ScanCarriesAge(db, *id, options)) {
-      out.push_back(db.catalog().schema(*id).name());
-    }
-  }
+  db.catalog().ForEachLiveTable([&](const TableSchema& schema) {
+    if (ScanCarriesAge(schema, options)) out.push_back(schema.name());
+  });
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

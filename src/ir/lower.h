@@ -14,8 +14,10 @@
 namespace trac {
 
 /// Lowering from physical plans into the dataflow IR (ir/plan_ir.h).
-/// Lowering is pure bookkeeping — it never touches table data — and is
-/// deliberately cheap enough to run on every planned query.
+/// Lowering is bookkeeping, deliberately cheap enough to run on every
+/// planned query: the only table data it reads is the Heartbeat
+/// registry's recency range for age=/bound=, served from the registry
+/// table's epoch-keyed memo (Table::VisibleTimestampBounds).
 
 struct LowerOptions {
   /// Name of the Heartbeat table. A scan of this table marks its

@@ -1,5 +1,7 @@
 #include "storage/table.h"
 
+#include <algorithm>
+
 #include "common/dcheck.h"
 
 namespace trac {
@@ -43,6 +45,47 @@ size_t Table::CountVisible(Snapshot snap) const {
   size_t count = 0;
   Scan(snap, [&](size_t, const Row&) { ++count; });
   return count;
+}
+
+TimestampBounds Table::VisibleTimestampBounds(Snapshot snap, size_t column,
+                                              size_t* rows_read) const {
+  // Read after the caller took `snap`: every commit <= snap.version that
+  // touched this table marked it before publishing, so epoch <= snap
+  // proves no such commit lies in (epoch, snap].
+  const uint64_t epoch = last_mutation_version();
+  const bool cacheable = epoch <= snap.version;
+  if (cacheable) {
+    MutexLock lock(&range_memo_mu_);
+    if (range_memo_.filled && range_memo_.column == column &&
+        range_memo_.epoch == epoch) {
+      if (rows_read != nullptr) *rows_read = 0;
+      return range_memo_.bounds;
+    }
+  }
+  TimestampBounds bounds;
+  size_t rows = 0;
+  Scan(snap, [&](size_t, const Row& row) {
+    ++rows;
+    const Value& v = row[column];
+    if (v.is_null() || v.type() != TypeId::kTimestamp) return;
+    const int64_t us = v.ts_val().micros();
+    if (!bounds.known) {
+      bounds = TimestampBounds{true, us, us};
+      return;
+    }
+    bounds.lo = std::min(bounds.lo, us);
+    bounds.hi = std::max(bounds.hi, us);
+  });
+  if (rows_read != nullptr) *rows_read = rows;
+  if (cacheable) {
+    MutexLock lock(&range_memo_mu_);
+    // Epochs only grow: never let a slow scan replace a newer memo.
+    if (!range_memo_.filled || range_memo_.column != column ||
+        range_memo_.epoch <= epoch) {
+      range_memo_ = RangeMemo{true, column, epoch, bounds};
+    }
+  }
+  return bounds;
 }
 
 Status Table::CreateIndex(size_t column) {

@@ -19,6 +19,17 @@
 
 namespace trac {
 
+/// The min/max of the timestamp values one column holds at a snapshot
+/// (Table::VisibleTimestampBounds). `known` is false when no visible row
+/// holds a non-null timestamp there.
+struct TimestampBounds {
+  bool known = false;
+  int64_t lo = 0;  ///< Micros since the epoch.
+  int64_t hi = 0;
+
+  bool operator==(const TimestampBounds&) const = default;
+};
+
 /// One version of one logical row. A version is visible to a snapshot s
 /// iff begin <= s.version and (end == kOpen or end > s.version).
 ///
@@ -162,6 +173,21 @@ class Table {
   /// Number of visible rows in `snap` (O(versions)).
   size_t CountVisible(Snapshot snap) const;
 
+  /// Min/max of the timestamp values in `column` over the rows visible
+  /// at `snap` (nulls and non-timestamp values skipped). Memoized on the
+  /// data epoch: the memo (column, e, bounds) is filled only by a scan at
+  /// a snapshot >= e = last_mutation_version() read after that snapshot
+  /// was taken, and served only while the epoch still reads e and
+  /// `snap.version >= e`. Both snapshots then lie in [e, next mutating
+  /// commit), where the visible row set cannot change (see
+  /// last_mutation_version()), so a hit equals a scan at `snap`
+  /// byte-for-byte. Anything else — a newer commit, an older snapshot,
+  /// another column — scans. `rows_read`, when non-null, receives the
+  /// number of visible rows this call read: 0 on a hit. Thread safe.
+  TimestampBounds VisibleTimestampBounds(Snapshot snap, size_t column,
+                                         size_t* rows_read = nullptr) const
+      TRAC_EXCLUDES(range_memo_mu_);
+
   /// Creates an ordered index on column `column`, back-filling existing
   /// versions. AlreadyExists if one is already defined on that column.
   /// Writer-only (Database mutex).
@@ -217,6 +243,18 @@ class Table {
                                   "Table::indexes_mu_"};
   std::map<size_t, std::unique_ptr<OrderedIndex>> indexes_
       TRAC_GUARDED_BY(indexes_mu_);
+
+  /// One-slot memo behind VisibleTimestampBounds: valid for `column` at
+  /// data epoch `epoch` (filled = false until the first cacheable scan).
+  struct RangeMemo {
+    bool filled = false;
+    size_t column = 0;
+    uint64_t epoch = 0;
+    TimestampBounds bounds;
+  };
+  mutable Mutex range_memo_mu_{lock_rank::kTableRangeMemo,
+                               "Table::range_memo_mu_"};
+  mutable RangeMemo range_memo_ TRAC_GUARDED_BY(range_memo_mu_);
 };
 
 }  // namespace trac

@@ -1,6 +1,7 @@
 #include "telemetry/profile.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "absint/absint.h"
 #include "telemetry/telemetry.h"
@@ -180,12 +181,14 @@ std::string ProfileDiagnostic::Format() const {
 }
 
 std::vector<ProfileDiagnostic> AnalyzeProfileDrift(
-    const PlanIr& ir, const ProfileDriftOptions& options) {
+    const PlanIr& ir, const ProfileDriftOptions& options,
+    const absint::AbsintResult* analysis) {
   std::vector<ProfileDiagnostic> out;
-  const absint::AbsintResult analysis = absint::AnalyzeIr(ir);
+  std::optional<absint::AbsintResult> computed;
+  if (analysis == nullptr) analysis = &computed.emplace(absint::AnalyzeIr(ir));
   for (const IrNode& node : ir.nodes) {
-    if (!node.has_actual_rows || node.id >= analysis.facts.size()) continue;
-    const absint::CardInterval& card = analysis.facts[node.id].card;
+    if (!node.has_actual_rows || node.id >= analysis->facts.size()) continue;
+    const absint::CardInterval& card = analysis->facts[node.id].card;
     if (node.actual_rows < card.lo ||
         (!card.unbounded && node.actual_rows > card.hi)) {
       ProfileDiagnostic d;

@@ -12,6 +12,10 @@
 
 namespace trac {
 
+namespace absint {
+struct AbsintResult;  // absint/absint.h
+}  // namespace absint
+
 struct Telemetry;
 
 /// Per-operator execution profiling — the "EXPLAIN ANALYZE" layer.
@@ -156,9 +160,13 @@ struct ProfileDriftOptions {
 /// every annotated scan against its rows= estimate (P002). The returned
 /// list is canonical: deduplicated by (code, node), stable-sorted by
 /// (node, code). An IR with no actual annotations yields no findings.
+/// `analysis`, when non-null, is a fixpoint the caller already computed
+/// over the same graph (the interpreter ignores actual_* annotations, so
+/// the facts of the IR before AttachSessionProfile serve unchanged).
 std::vector<ProfileDiagnostic> AnalyzeProfileDrift(
     const PlanIr& ir,
-    const ProfileDriftOptions& options = ProfileDriftOptions());
+    const ProfileDriftOptions& options = ProfileDriftOptions(),
+    const absint::AbsintResult* analysis = nullptr);
 
 /// One flight-recorder entry: a fully profiled session, self-contained
 /// (the IR text re-parses into the annotated plan).

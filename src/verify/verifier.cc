@@ -212,8 +212,8 @@ std::string HexFingerprint(uint64_t v) {
 /// fixpoint facts (absint/absint.h). Only annotated IRs can trip them —
 /// un-annotated corpus files analyze to bottom everywhere and stay
 /// clean, which keeps the rules backward-compatible by construction.
-void CheckAbsint(const PlanIr& ir, VerifyReport* report) {
-  const absint::AbsintResult res = absint::AnalyzeIr(ir);
+void CheckAbsint(const PlanIr& ir, const absint::AbsintResult& res,
+                 VerifyReport* report) {
   if (!res.converged) return;  // Facts are not a fixpoint; stay silent.
   for (const IrNode& n : ir.nodes) {
     const absint::NodeFacts& f = res.facts[n.id];
@@ -394,7 +394,8 @@ std::string VerifyReport::Format(const PlanIr& ir) const {
   return out;
 }
 
-VerifyReport VerifyIr(const PlanIr& ir, const VerifyOptions& options) {
+VerifyReport VerifyIr(const PlanIr& ir, const VerifyOptions& options,
+                      const absint::AbsintResult* analysis) {
   VerifyReport report;
   if (!CheckStructure(ir, &report)) {
     CanonicalizeDiagnostics(&report);
@@ -404,7 +405,13 @@ VerifyReport VerifyIr(const PlanIr& ir, const VerifyOptions& options) {
   CheckTempTables(ir, &report);
   CheckDeterministicMerge(ir, &report);
   CheckProvenance(ir, &report);
-  if (options.absint) CheckAbsint(ir, &report);
+  if (options.absint) {
+    if (analysis != nullptr) {
+      CheckAbsint(ir, *analysis, &report);
+    } else {
+      CheckAbsint(ir, absint::AnalyzeIr(ir), &report);
+    }
+  }
   CanonicalizeDiagnostics(&report);
   return report;
 }
@@ -420,8 +427,9 @@ VerifyReport VerifyIr(const PlanIr& ir, const VerifyOptions& options) {
   return VerifyIrStatus(LowerReportSession(db, input, options));
 }
 
-[[nodiscard]] Status VerifyIrStatus(const PlanIr& ir) {
-  const VerifyReport report = VerifyIr(ir);
+[[nodiscard]] Status VerifyIrStatus(const PlanIr& ir,
+                                    const absint::AbsintResult* analysis) {
+  const VerifyReport report = VerifyIr(ir, VerifyOptions(), analysis);
   if (report.ok()) return Status::OK();
   std::string msg = "plan verification failed (" +
                     std::to_string(report.diagnostics.size()) + " finding" +

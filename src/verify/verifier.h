@@ -11,6 +11,10 @@
 
 namespace trac {
 
+namespace absint {
+struct AbsintResult;  // absint/absint.h
+}  // namespace absint
+
 /// Static verifier over the plan dataflow IR (ir/plan_ir.h), run before
 /// a plan executes — the way LLVM/HLO verifiers gate a compiler
 /// pipeline. Each rule turns one clause of the reporting layer's
@@ -159,12 +163,17 @@ struct VerifyOptions {
 /// Runs the full pass pipeline over `ir`. A TRAC-V000 finding
 /// short-circuits the remaining passes (they assume a well-formed
 /// graph). Never fails as a function — failures are diagnostics.
+/// `analysis`, when non-null, must be absint::AnalyzeIr(ir): the semantic
+/// rules then read it instead of recomputing the fixpoint.
 VerifyReport VerifyIr(const PlanIr& ir,
-                      const VerifyOptions& options = VerifyOptions());
+                      const VerifyOptions& options = VerifyOptions(),
+                      const absint::AbsintResult* analysis = nullptr);
 
 /// Convenience gate: verifies and folds any findings into a single
 /// kInternal Status (a rejected plan is a library bug, not user error).
-[[nodiscard]] Status VerifyIrStatus(const PlanIr& ir);
+/// `analysis` as for VerifyIr.
+[[nodiscard]] Status VerifyIrStatus(
+    const PlanIr& ir, const absint::AbsintResult* analysis = nullptr);
 
 /// The planner/executor gate: lowers one planned query (ir/lower.h) and
 /// verifies the result. Callers escalate to a hard error under

@@ -44,6 +44,27 @@ TEST(CatalogTest, TableNamesInCreationOrder) {
   EXPECT_EQ(catalog.TableNames(), (std::vector<std::string>{"a", "c"}));
 }
 
+TEST(CatalogTest, NameLookupIsCaseInsensitiveAcrossDropAndRecreate) {
+  Catalog catalog;
+  auto id = catalog.CreateTable(KvSchema("Hist"));
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(catalog.GetTableId("hIST").value(), *id);
+  EXPECT_EQ(catalog.CreateTable(KvSchema("HIST")).status().code(),
+            StatusCode::kAlreadyExists);
+  TRAC_ASSERT_OK(catalog.DropTable("hist"));
+  EXPECT_EQ(catalog.DropTable("Hist").code(), StatusCode::kNotFound);
+  auto id2 = catalog.CreateTable(KvSchema("HIST"));
+  ASSERT_TRUE(id2.ok());
+  EXPECT_EQ(catalog.GetTableId("hist").value(), *id2);
+  EXPECT_EQ(catalog.TableNames(), (std::vector<std::string>{"HIST"}));
+  size_t live = 0;
+  catalog.ForEachLiveTable([&](const TableSchema& schema) {
+    EXPECT_EQ(schema.name(), "HIST");
+    ++live;
+  });
+  EXPECT_EQ(live, 1u);
+}
+
 TEST(SchemaTest, FindColumnCaseInsensitive) {
   TableSchema schema = KvSchema("t");
   EXPECT_EQ(schema.FindColumn("K"), 0u);
